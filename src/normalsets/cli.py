@@ -308,6 +308,10 @@ def _cmd_pairsquare(cfg: RunConfig, stdout) -> int:
     if cfg.limit is None or cfg.limit < 1:
         raise ValueError(f"--limit must be a positive integer, got {cfg.limit}")
     N = cfg.limit
+    grid = _parse_grid(cfg.grid) if cfg.grid else []
+    for n in grid:
+        if not 1 <= n <= N:
+            raise OutOfRangeError(f"--grid point {n} is outside [1, --limit {N}]")
     table = build_spf(max(2, N + spec.max_offset))
     pairs = count_square_pairs(N, spec, table)
     violations = per_x_bound_check(N, spec, table)
@@ -341,11 +345,7 @@ def _cmd_pairsquare(cfg: RunConfig, stdout) -> int:
             "values": [[v.numerator, v.denominator] for v in mc.values],
         }
     if cfg.grid:
-        decay = []
-        for n in _parse_grid(cfg.grid):
-            table.check(n + spec.max_offset)
-            res = count_square_pairs(n, spec, table)
-            decay.append((n, res.pair_count))
+        decay = [(n, count_square_pairs(n, spec, table).pair_count) for n in grid]
         report["decay"] = [
             {"N": n, "pair_count": c, "e_tn2": _float(c / (n * n))} for n, c in decay
         ]
@@ -517,10 +517,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the usage message
         return EXIT_USAGE if exc.code else EXIT_OK
+    command = args.command
     try:
         if args.command == "replay":
             data = json.loads(Path(args.config).read_text())
             cfg = RunConfig.from_dict(data)
+            command = cfg.command
         else:
             cfg = _config_from_args(args)
             save = getattr(args, "save_config", None)
@@ -529,6 +531,9 @@ def main(argv=None) -> int:
         return run_config(cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:
+        print(f"error: out of memory in {command}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -8,18 +8,38 @@ T_N is therefore exactly (number of pairs (x, y) in [1, N]^2 with
 xi(x)*xi(y) a perfect square) / N^2.  This module counts those pairs
 exactly, checks the per-x counting bound that drives the decay estimate,
 and cross-checks the second moment by Monte Carlo over seeds.
+
+Classification is array code over the kernel sieve of the shared SpfTable.
+The class of xi(x) is the squarefree kernel of the product, and kernels
+fold one position at a time: with K the kernel so far and B = kernel(x+i),
+the new kernel is (K/g)(B/g) for g = gcd(K, B), and h (its number of
+primes) grows by omega(x+i) - 2 omega(g).  The fold uses uint64 only while
+the product of the kernels so far, at most (N + max_offset)^j after j
+positions, stays below 2^64; past that line it continues in exact Python
+ints.  Grouping the keys with np.unique gives every count.
+
+The Monte Carlo packs up to 64 seeds into the bit lanes of a uint64: bit j
+of a prime's mask is set when the j-th seed of the batch gives that prime
+-1, and bit j of the sieved word for n is then set when that seed maps n
+to -1.  square_class, the per-integer classification, is kept as the
+reference for tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import isqrt, sqrt
 
 import numpy as np
 
-from .sieve import OffsetSpec, SpfTable, common_divisor_set, is_prime
-from .signs import SignAssignment, build_signed_sequence
+from .sieve import OffsetSpec, SpfTable, build_spf, common_divisor_set, is_prime
+from .signs import SignAssignment
+
+# seeds per Monte Carlo batch, one per bit of a uint64 sign mask
+_LANES = 64
+# words per bit-count step: the unpacked bits take 64 bytes per word
+_LANE_CHUNK = 1 << 16
 
 
 def square_class(x: int, spec: OffsetSpec, table: SpfTable) -> tuple[int, ...]:
@@ -28,6 +48,8 @@ def square_class(x: int, spec: OffsetSpec, table: SpfTable) -> tuple[int, ...]:
     Two shifted products multiply to a perfect square exactly when their
     classes are equal.  Computed by merging per-factor exponent parities;
     xi(x) itself is never formed, so nothing here grows with the product.
+    The counting functions below do not call it; it is their per-integer
+    reference.
     """
     table.check(x)
     if spec.offsets:
@@ -47,12 +69,29 @@ def square_class(x: int, spec: OffsetSpec, table: SpfTable) -> tuple[int, ...]:
     return tuple(sorted(odd))
 
 
-def _class_counts(N: int, spec: OffsetSpec, table: SpfTable) -> dict:
-    counts: dict = {}
-    for x in range(1, N + 1):
-        cls = square_class(x, spec, table)
-        counts[cls] = counts.get(cls, 0) + 1
-    return counts
+def _classes(N: int, spec: OffsetSpec, table: SpfTable) -> tuple[np.ndarray, np.ndarray]:
+    """Class keys and h for x = 1..N, as two arrays indexed by x - 1.
+
+    The key of x is the squarefree kernel of xi(x), folded over the
+    positions; h is its number of primes.  A fold runs in uint64 while the
+    product of the kernels folded so far, at most (N + max_offset)^(j+1)
+    after j offsets, is known to fit; from the first fold that could pass
+    2^64 on, the keys are exact Python ints.
+    """
+    kernel, omega = table.kernels()
+    bound = N + spec.max_offset
+    keys = kernel[1 : N + 1].astype(np.uint64)
+    h = omega[1 : N + 1].astype(np.int64)
+    for j, i in enumerate(spec.offsets, start=2):
+        if keys.dtype != object and bound**j >= 1 << 64:
+            keys = keys.astype(object)
+        b = kernel[1 + i : N + 1 + i].astype(keys.dtype)
+        g = np.gcd(keys, b)
+        keys = (keys // g) * (b // g)
+        # g is a squarefree divisor of b <= limit, so omega[g] is its prime
+        # count; int8 holds -2 omega(g) since omega <= 9 below 2^32
+        h += omega[1 + i : N + 1 + i] - 2 * omega[g.astype(np.intp)]
+    return keys, h
 
 
 @dataclass(frozen=True)
@@ -78,8 +117,12 @@ def count_square_pairs(N: int, spec: OffsetSpec, table: SpfTable) -> PairCountRe
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     table.check(N + spec.max_offset)
-    counts = _class_counts(N, spec, table)
-    pair_count = sum(c * c for c in counts.values())
+    keys, _ = _classes(N, spec, table)
+    _, counts = np.unique(keys, return_counts=True)
+    # N + max_offset <= MAX_SIEVE_LIMIT = 2^32, and the sum of squares is
+    # below N^2 unless all x share one class, so uint64 cannot overflow
+    counts = counts.astype(np.uint64)
+    pair_count = int(counts @ counts)
     return PairCountResult(N, spec.offsets, pair_count)
 
 
@@ -105,18 +148,18 @@ def per_x_bound_check(N: int, spec: OffsetSpec, table: SpfTable) -> list[BoundVi
         raise ValueError(f"N must be >= 1, got {N}")
     table.check(N + spec.max_offset)
     r = common_divisor_set(spec).r
-    classes = [square_class(x, spec, table) for x in range(1, N + 1)]
-    counts: dict = {}
-    for cls in classes:
-        counts[cls] = counts.get(cls, 0) + 1
-    violations = []
-    for x, cls in enumerate(classes, start=1):
-        matches = counts[cls]
-        h = len(cls)
-        factor = 1 << (r + h)
-        if matches * matches > factor * factor * N:
-            violations.append(BoundViolation(x, matches, r, h, N))
-    return violations
+    keys, h = _classes(N, spec, table)
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    matches = counts[inverse]
+    # matches^2 > 4^(r+h) N  <=>  matches > isqrt(4^(r+h) N); a limit of N
+    # or more can never be passed, so clipping to N keeps it in int64
+    limits = np.array(
+        [min(isqrt(N << 2 * (r + e)), N) for e in range(int(h.max()) + 1)], dtype=np.int64
+    )
+    return [
+        BoundViolation(x + 1, int(matches[x]), r, int(h[x]), N)
+        for x in np.flatnonzero(matches > limits[h]).tolist()
+    ]
 
 
 def smallest_prime_for_decay(k: int) -> int:
@@ -128,9 +171,10 @@ def smallest_prime_for_decay(k: int) -> int:
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     threshold = 1 << (20 * (k + 1))
-    p = 2
+    # (2^floor(20(k+1)/9))^9 <= threshold, so no smaller p can qualify
+    p = max(2, 1 << (20 * (k + 1) // 9))
     while True:
-        if is_prime(p) and p**9 >= threshold:
+        if p**9 >= threshold and is_prime(p):
             return p
         p += 1
 
@@ -161,15 +205,15 @@ def sum_2h(N: int, spec: OffsetSpec, table: SpfTable) -> Sum2hReport:
         raise ValueError(f"N must be >= 1, got {N}")
     table.check(N + spec.max_offset)
     marks = sorted({max(1, N >> j) for j in range(3, -1, -1)})
-    mark_set = set(marks)
-    running = 0
-    checkpoints = []
-    for n in range(1, N + 1):
-        running += 1 << len(square_class(n, spec, table))
-        if n in mark_set:
-            checkpoints.append((n, running))
+    _, h = _classes(N, spec, table)
+    # sum of 2^h(xi(m)) over m <= n from how many m have each h: exact in
+    # Python ints however large h grows
+    checkpoints = [
+        (n, sum(c << e for e, c in enumerate(np.bincount(h[:n]).tolist()))) for n in marks
+    ]
     p = smallest_prime_for_decay(spec.k)
-    index = sum(1 for q in range(2, p + 1) if is_prime(q))
+    primes = (table if p <= table.limit else build_spf(p)).primes()
+    index = int(np.searchsorted(primes, p, side="right"))
     usable = [(n, s) for n, s in checkpoints if n >= 2]
     if len(usable) >= 2:
         xs = np.log([n for n, _ in usable])
@@ -177,7 +221,7 @@ def sum_2h(N: int, spec: OffsetSpec, table: SpfTable) -> Sum2hReport:
         fitted = float(np.polyfit(xs, ys, 1)[0])
     else:
         fitted = None
-    return Sum2hReport(N, spec.offsets, running, p, index, tuple(checkpoints), fitted)
+    return Sum2hReport(N, spec.offsets, checkpoints[-1][1], p, index, tuple(checkpoints), fitted)
 
 
 @dataclass(frozen=True)
@@ -199,7 +243,15 @@ class MonteCarloResult:
 def monte_carlo_e_tn2(
     N: int, spec: OffsetSpec, seeds, table: SpfTable
 ) -> MonteCarloResult:
-    """Estimate the second moment of T_N by drawing one sequence per seed."""
+    """Estimate the second moment of T_N by drawing one sequence per seed.
+
+    Seeds run in batches of 64, one bit lane each: the signs of every
+    prime under the batch's seeds are packed into one uint64 mask, and one
+    walk over the prime powers XORs each mask into the multiples, which
+    leaves bit j of acc[n] set exactly when seed j maps n to -1.  The
+    shifted product is the XOR of the shifted slices, and each seed's sum
+    is N minus twice the set bits in its lane.
+    """
     seeds = tuple(int(s) for s in seeds)
     if len(seeds) < 2:
         raise ValueError(f"need at least 2 seeds, got {len(seeds)}")
@@ -207,16 +259,50 @@ def monte_carlo_e_tn2(
         raise ValueError(f"N must be >= 1, got {N}")
     need = N + spec.max_offset
     table.check(need)
+    assignments = [SignAssignment(seed) for seed in seeds]
+    primes = table.primes()
+    primes = primes[primes <= need]
+    split = int(np.searchsorted(primes, isqrt(need), side="right"))
+    large = primes[split:].astype(np.int64)
+    per_prime = need // large
+    # m-th multiple of each large prime, m = 1..need // p
+    m = np.arange(per_prime.sum()) - np.repeat(np.cumsum(per_prime) - per_prime, per_prime) + 1
+    multiples = np.repeat(large, per_prime) * m
     values = []
-    for seed in seeds:
-        seq = build_signed_sequence(SignAssignment(seed), need, table)
-        signs = seq.signs
-        acc = signs[1 : N + 1].copy()
+    for start in range(0, len(assignments), _LANES):
+        batch = assignments[start : start + _LANES]
+        masks = np.zeros(len(primes), dtype=np.uint64)
+        for lane, assignment in enumerate(batch):
+            negative = assignment.prime_sign_array(primes) == -1
+            masks |= negative.astype(np.uint64) << np.uint64(lane)
+        acc = np.zeros(need + 1, dtype=np.uint64)
+        for p, mask in zip(primes[:split].tolist(), masks[:split].tolist()):
+            q = p
+            while q <= need:
+                view = acc[q::q]
+                view ^= mask
+                q *= p
+        # n <= need has at most one prime factor above sqrt(need), and only
+        # to the first power, so the multiples of those primes never collide
+        acc[multiples] ^= np.repeat(masks[split:], per_prime)
+        product = acc[1 : N + 1].copy()
         for i in spec.offsets:
-            acc *= signs[1 + i : N + 1 + i]
-        total = int(acc.sum(dtype=np.int64))
-        values.append(Fraction(total * total, N * N))
+            product ^= acc[1 + i : N + 1 + i]
+        negatives = _lane_counts(product)
+        for lane in range(len(batch)):
+            total = N - 2 * int(negatives[lane])
+            values.append(Fraction(total * total, N * N))
     floats = np.array([float(v) for v in values])
     mean = float(floats.mean())
     stderr = float(floats.std(ddof=1) / sqrt(len(seeds)))
     return MonteCarloResult(N, spec.offsets, seeds, tuple(values), mean, stderr)
+
+
+def _lane_counts(words: np.ndarray) -> np.ndarray:
+    """Number of words with each of the 64 bits set, as int64 by bit."""
+    counts = np.zeros(_LANES, dtype=np.int64)
+    for start in range(0, len(words), _LANE_CHUNK):
+        octets = words[start : start + _LANE_CHUNK].astype("<u8").view(np.uint8)
+        bits = np.unpackbits(octets.reshape(-1, 8), axis=1, bitorder="little")
+        counts += bits.sum(axis=0, dtype=np.int64)
+    return counts

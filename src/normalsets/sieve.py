@@ -53,7 +53,7 @@ class SpfTable:
     read-only and safe to share across threads.
     """
 
-    __slots__ = ("limit", "spf", "_primes")
+    __slots__ = ("limit", "spf", "_primes", "_kernels")
 
     def __init__(self, limit: int) -> None:
         if limit < 2:
@@ -74,6 +74,7 @@ class SpfTable:
         self.limit = limit
         self.spf = spf
         self._primes: np.ndarray | None = None
+        self._kernels: tuple[np.ndarray, np.ndarray] | None = None
 
     def check(self, n: int) -> None:
         if n < 1:
@@ -97,6 +98,42 @@ class SpfTable:
             values = np.arange(2, self.limit + 1, dtype=np.uint32)
             self._primes = values[self.spf[2:] == values]
         return self._primes
+
+    def kernels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Squarefree kernels and odd-exponent prime counts over [0, limit].
+
+        ``kernel[n]`` (uint32) is the product of the primes with odd
+        exponent in n and ``omega[n]`` (int8) their number, so
+        ``squarefree_kernel(n) == (kernel[n], omega[n])``; index 0 holds
+        (1, 0).  Built by walking the powers of each prime p <= sqrt(limit):
+        the multiples of p, p^3, ... gain p and those of p^2, p^4, ... lose
+        it again.  What is left of n once those primes are divided out is 1
+        or a single prime above sqrt(limit), with exponent 1.  Cached after
+        the first call.
+        """
+        if self._kernels is None:
+            limit = self.limit
+            kernel = np.ones(limit + 1, dtype=np.uint32)
+            omega = np.zeros(limit + 1, dtype=np.int8)
+            rest = np.arange(limit + 1, dtype=np.uint32)
+            rest[0] = 1
+            small = self.primes()
+            for p in small[: np.searchsorted(small, isqrt(limit), side="right")].tolist():
+                q, odd = p, True
+                while q <= limit:
+                    rest[q::q] //= p
+                    if odd:
+                        kernel[q::q] *= p
+                        omega[q::q] += 1
+                    else:
+                        kernel[q::q] //= p
+                        omega[q::q] -= 1
+                    q *= p
+                    odd = not odd
+            kernel *= rest
+            omega += rest > 1
+            self._kernels = (kernel, omega)
+        return self._kernels
 
 
 def build_spf(limit: int) -> SpfTable:

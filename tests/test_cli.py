@@ -19,6 +19,17 @@ from normalsets import (
 from normalsets.cli import _parse_grid, _parse_seeds
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+DATA = Path(__file__).resolve().parent / "data"
+
+# argv of the reports under data/pairsquare: the three benchmark shapes
+# (64-seed Monte Carlo, decay grid, four offsets past the uint64 line) and
+# a 130-seed run spanning three lane batches
+PAIRSQUARE_GOLDEN = {
+    "mc": ["--limit", "9950", "--offsets", "1", "--seeds", "3000000000-3000000063"],
+    "grid": ["--limit", "2450", "--offsets", "1,2", "--grid", "1000:2450:poly2"],
+    "k4": ["--limit", "9990", "--offsets", "1,2,3,4"],
+    "seeds130": ["--limit", "4999", "--offsets", "1", "--seeds", "0-129", "--grid", "100,2000,4999"],
+}
 
 
 def load_schema(name):
@@ -247,6 +258,37 @@ class TestPairsquare:
         assert lines[0] == "N,pair_count,e_tn2_num,e_tn2_den,e_tn2"
         assert len(lines) == 4
         assert lines[1].startswith("64,")
+
+    @pytest.mark.parametrize("name", sorted(PAIRSQUARE_GOLDEN))
+    def test_golden_reports(self, capsys, tmp_path, name):
+        # the reports were written by the per-integer implementation
+        out = tmp_path / f"{name}.json"
+        code, _, _ = run(capsys, "pairsquare", *PAIRSQUARE_GOLDEN[name], "--out", str(out))
+        assert code == EXIT_OK
+        assert out.read_bytes() == (DATA / "pairsquare" / f"{name}.json").read_bytes()
+
+    def test_grid_outside_limit_fails_before_counting(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("counting started")
+
+        monkeypatch.setattr("normalsets.cli.build_spf", never)
+        for grid, point in (("50,200", 200), ("0,50", 0)):
+            code, stdout, err = run(capsys, "pairsquare", "--limit", "100", "--grid", grid)
+            assert code == EXIT_ERROR
+            assert stdout == ""
+            assert err == f"error: --grid point {point} is outside [1, --limit 100]\n"
+
+    def test_out_of_memory_is_exit_one(self, capsys, monkeypatch, tmp_path):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("normalsets.cli.count_square_pairs", exhausted)
+        code, stdout, err = run(capsys, "pairsquare", "--limit", "10")
+        assert (code, stdout, err) == (EXIT_ERROR, "", "error: out of memory in pairsquare\n")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"command": "pairsquare", "limit": 10}))
+        code, _, err = run(capsys, "replay", str(config))
+        assert (code, err) == (EXIT_ERROR, "error: out of memory in pairsquare\n")
 
 
 class TestSolve:

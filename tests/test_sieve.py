@@ -117,6 +117,18 @@ def test_squarefree_kernel_properties(small_table):
         assert h == len(fac)
 
 
+@pytest.mark.parametrize("limit", [2, 3, 4, 48, 49, 50, 10_000])
+def test_kernel_sieve_matches_squarefree_kernel(limit, small_table):
+    table = small_table if limit == 10_000 else build_spf(limit)
+    kernel, omega = table.kernels()
+    assert kernel.dtype == "uint32" and omega.dtype == "int8"
+    assert kernel.shape == omega.shape == (limit + 1,)
+    assert (int(kernel[0]), int(omega[0])) == (1, 0)
+    expected = [squarefree_kernel(n, table) for n in range(1, limit + 1)]
+    assert list(zip(kernel[1:].tolist(), omega[1:].tolist())) == expected
+    assert table.kernels()[0] is kernel  # cached
+
+
 def test_offset_spec_validation():
     with pytest.raises(ValueError):
         OffsetSpec((0,))
